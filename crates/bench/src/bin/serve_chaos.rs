@@ -38,7 +38,7 @@ use nebula_serve::worker::{run_worker, WorkerConfig};
 use nebula_serve::{Coordinator, Endpoint, NetFaultPlan, ServeConfig, WorkerRunConfig};
 use nebula_sim::strategy::StrategyConfig;
 use nebula_sim::{
-    AdaptStrategy, ChaosControl, DurabilityConfig, ExperimentConfig, KillSpot, NebulaStrategy,
+    param_digest, AdaptStrategy, ChaosControl, DurabilityConfig, ExperimentConfig, KillSpot, NebulaStrategy,
     ResourceSampler, RunError, Runner, SimWorld,
 };
 use nebula_tensor::NebulaRng;
@@ -101,12 +101,6 @@ fn toy_world() -> SimWorld {
     SimWorld::new(synth, spec, 9, None, &ResourceSampler::default(), 5)
 }
 
-fn fnv_digest(params: &[f32]) -> u64 {
-    params
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, p| (h ^ p.to_bits() as u64).wrapping_mul(0x1000_0000_01b3))
-}
-
 /// The undisturbed trajectory the fault-tolerant scenarios must land
 /// on: digest plus fate accounting of an in-process run.
 struct Baseline {
@@ -125,7 +119,7 @@ fn inproc_baseline(rounds: usize) -> Baseline {
         participated += out.stats.faults.participated;
         link_dropped += out.stats.faults.link_dropped;
     }
-    Baseline { digest: fnv_digest(&s.cloud().model().param_vector()), participated, link_dropped }
+    Baseline { digest: param_digest(&s.cloud().model().param_vector()), participated, link_dropped }
 }
 
 /// Per-deployment knobs a scenario turns.
@@ -219,7 +213,7 @@ fn run_against(
         let out = s.single_round(&mut world, &mut rng);
         stats.merge(&out.stats);
     }
-    let digest = fnv_digest(&s.cloud().model().param_vector());
+    let digest = param_digest(&s.cloud().model().param_vector());
     let mut notes = Vec::new();
     if digest != base.digest {
         notes.push(format!("trajectory diverged: digest {digest:016x} != baseline {:016x}", base.digest));
@@ -331,7 +325,7 @@ fn flaky_link(rounds: usize) -> ScenarioRecord {
         let out = s.single_round(&mut world, &mut rng);
         stats.merge(&out.stats);
     }
-    let digest = fnv_digest(&s.cloud().model().param_vector());
+    let digest = param_digest(&s.cloud().model().param_vector());
     let mut notes = Vec::new();
     let jobs = (rounds * 4) as u64;
     // The accounting identity: participation + dropped fates covers the
@@ -395,7 +389,7 @@ fn kill_coordinator(rounds: usize) -> ScenarioRecord {
             .target(TARGET, rounds, 1)
             .run()
             .expect("in-process baseline");
-        (out.rounds, out.final_accuracy.to_bits(), fnv_digest(&s.cloud().model().param_vector()))
+        (out.rounds, out.final_accuracy.to_bits(), param_digest(&s.cloud().model().param_vector()))
     };
 
     let dir = std::env::temp_dir().join(format!("serve-chaos-journal-{}", std::process::id()));
@@ -448,7 +442,7 @@ fn kill_coordinator(rounds: usize) -> ScenarioRecord {
         .resume()
         .run()
         .expect("resumed run completes");
-    let digest = fnv_digest(&s.cloud().model().param_vector());
+    let digest = param_digest(&s.cloud().model().param_vector());
     if resumed.rounds != base.0 {
         notes.push(format!("round count diverged: resumed {} != baseline {}", resumed.rounds, base.0));
     }

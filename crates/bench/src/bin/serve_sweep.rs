@@ -31,7 +31,7 @@ use nebula_nn::Layer;
 use nebula_serve::worker::{run_worker, WorkerConfig};
 use nebula_serve::{Coordinator, Endpoint, ServeConfig, WorkerRunConfig};
 use nebula_sim::strategy::StrategyConfig;
-use nebula_sim::{AdaptStrategy, NebulaStrategy, ResourceSampler, SimWorld};
+use nebula_sim::{param_digest, AdaptStrategy, NebulaStrategy, ResourceSampler, SimWorld};
 use nebula_tensor::NebulaRng;
 use serde::Serialize;
 
@@ -98,12 +98,6 @@ fn toy_world() -> SimWorld {
     SimWorld::new(synth, spec, 9, None, &ResourceSampler::default(), 5)
 }
 
-fn fnv_digest(params: &[f32]) -> u64 {
-    params
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, p| (h ^ p.to_bits() as u64).wrapping_mul(0x1000_0000_01b3))
-}
-
 /// Runs `rounds` toy Nebula rounds through `transport` and digests the
 /// trajectory.
 fn run_case(name: &str, transport: Option<Box<dyn Transport>>, rounds: usize, workers: usize) -> CaseRecord {
@@ -130,7 +124,7 @@ fn run_case(name: &str, transport: Option<Box<dyn Transport>>, rounds: usize, wo
         up_bytes: up,
         down_bytes: down,
         participated,
-        param_digest: fnv_digest(&s.cloud().model().param_vector()),
+        param_digest: param_digest(&s.cloud().model().param_vector()),
     }
 }
 

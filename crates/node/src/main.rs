@@ -26,7 +26,7 @@ use nebula_serve::worker::{run_worker, WorkerConfig};
 use nebula_serve::{Coordinator, Endpoint, OpsServer, ServeConfig, WorkerRunConfig};
 use nebula_sim::strategy::StrategyConfig;
 use nebula_sim::{
-    AdaptStrategy, ChaosControl, DurabilityConfig, ExperimentConfig, KillSpot, NebulaStrategy,
+    param_digest, AdaptStrategy, ChaosControl, DurabilityConfig, ExperimentConfig, KillSpot, NebulaStrategy,
     ResourceSampler, RunError, Runner, SimWorld,
 };
 use nebula_telemetry::{JsonlSink, Telemetry};
@@ -261,7 +261,7 @@ fn coordinator_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
         match runner.run() {
             Ok(out) => {
-                let digest = fnv_digest(&strategy.cloud().model().param_vector());
+                let digest = param_digest(&strategy.cloud().model().param_vector());
                 println!(
                     "{{\"done\":true,\"durable\":true,\"rounds\":{},\"final_accuracy\":{},\"param_digest\":\"{digest:016x}\"}}",
                     out.rounds, out.final_accuracy,
@@ -312,14 +312,6 @@ fn coordinator_cmd(args: &[String]) -> Result<ExitCode, String> {
     }
     coordinator.shutdown();
     Ok(ExitCode::SUCCESS)
-}
-
-/// FNV-1a fold of parameter bit patterns — the digest `serve_sweep`
-/// and `serve_chaos` use, so CLI runs compare against bench scorecards.
-fn fnv_digest(params: &[f32]) -> u64 {
-    params
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, p| (h ^ p.to_bits() as u64).wrapping_mul(0x1000_0000_01b3))
 }
 
 fn worker_cmd(args: &[String]) -> Result<ExitCode, String> {
