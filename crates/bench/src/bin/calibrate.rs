@@ -27,8 +27,8 @@ fn main() {
             ("NA", Box::new(NoAdaptStrategy::new(cfg.clone(), 42))),
             ("LA", Box::new(LocalAdaptStrategy::new(cfg.clone(), 42))),
             ("AN", Box::new(AdaptiveNetStrategy::new(cfg.clone(), 42))),
-            ("FA", Box::new(FedAvgStrategy::new(cfg.clone(), 42))),
-            ("HFL", Box::new(HeteroFlStrategy::new(cfg.clone(), 42))),
+            ("FA", Box::new(DenseFlStrategy::fedavg(cfg.clone(), 42))),
+            ("HFL", Box::new(DenseFlStrategy::heterofl(cfg.clone(), 42))),
             ("NEB", Box::new(NebulaStrategy::new(cfg.clone(), 42))),
         ];
         for (name, mut s) in mk {

@@ -14,8 +14,7 @@
 use nebula_bench::{emit_record, print_row, Scale, TaskRow};
 use nebula_sim::experiment::{run_adaptation_step, ExperimentConfig};
 use nebula_sim::{
-    AdaptStrategy, AdversaryPlan, CorruptionKind, FaultPlan, FedAvgStrategy, HeteroFlStrategy,
-    NebulaStrategy, RoundPolicy,
+    AdaptStrategy, AdversaryPlan, CorruptionKind, DenseFlStrategy, FaultPlan, NebulaStrategy, RoundPolicy,
 };
 use serde::Serialize;
 
@@ -110,8 +109,8 @@ fn main() {
 
     for &(dropout, straggler, frame_corrupt) in &grid {
         let strategies: Vec<Box<dyn AdaptStrategy>> = vec![
-            Box::new(FedAvgStrategy::new(row.strategy_config(scale), seed)),
-            Box::new(HeteroFlStrategy::new(row.strategy_config(scale), seed)),
+            Box::new(DenseFlStrategy::fedavg(row.strategy_config(scale), seed)),
+            Box::new(DenseFlStrategy::heterofl(row.strategy_config(scale), seed)),
             Box::new(NebulaStrategy::new(row.strategy_config(scale), seed)),
         ];
         for mut s in strategies {

@@ -19,7 +19,7 @@ use nebula_sim::experiment::pick_eval_ids;
 use nebula_sim::latency::adaptation_latency_ms;
 use nebula_sim::network::transfer_time_ms;
 use nebula_sim::strategy::StrategyConfig;
-use nebula_sim::{FedAvgStrategy, NebulaStrategy, SimWorld};
+use nebula_sim::{DenseFlStrategy, NebulaStrategy, SimWorld};
 use nebula_tensor::NebulaRng;
 use serde::Serialize;
 
@@ -178,7 +178,7 @@ fn panel_c(scale: Scale) {
             let mut s: Box<dyn AdaptStrategy> = if is_nebula {
                 Box::new(NebulaStrategy::new(cfg.clone(), 42))
             } else {
-                Box::new(FedAvgStrategy::new(cfg.clone(), 42))
+                Box::new(DenseFlStrategy::fedavg(cfg.clone(), 42))
             };
             let eval_ids = pick_eval_ids(&world, scale.eval_devices);
             s.track(&eval_ids);

@@ -16,7 +16,7 @@ use nebula_sim::contention::contention_multiplier;
 use nebula_sim::experiment::ExperimentConfig;
 use nebula_sim::strategy::AdaptStrategy;
 use nebula_sim::{
-    AdaptiveNetStrategy, FedAvgStrategy, LocalAdaptStrategy, NoAdaptStrategy, RoundStats, Runner, SimWorld,
+    AdaptiveNetStrategy, DenseFlStrategy, LocalAdaptStrategy, NoAdaptStrategy, RoundStats, Runner, SimWorld,
 };
 use nebula_tensor::NebulaRng;
 use serde::Serialize;
@@ -68,7 +68,7 @@ fn main() {
         Box::new(NoAdaptStrategy::new(cfg.clone(), 42)),
         Box::new(StaticEdge(AdaptiveNetStrategy::new(cfg.clone(), 42))),
         Box::new(LocalAdaptStrategy::new(cfg.clone(), 42)),
-        Box::new(FedAvgStrategy::new(cfg.clone(), 42)),
+        Box::new(DenseFlStrategy::fedavg(cfg.clone(), 42)),
     ];
     let names = [
         "Static cloud model",

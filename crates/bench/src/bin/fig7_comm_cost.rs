@@ -15,7 +15,7 @@
 use nebula_bench::{emit_record, print_row, Scale, TaskRow};
 use nebula_sim::experiment::{mean_accuracy, pick_eval_ids, ExperimentConfig};
 use nebula_sim::network::CommTracker;
-use nebula_sim::{AdaptStrategy, FedAvgStrategy, HeteroFlStrategy, NebulaStrategy};
+use nebula_sim::{AdaptStrategy, DenseFlStrategy, NebulaStrategy};
 use nebula_tensor::NebulaRng;
 use serde::Serialize;
 
@@ -51,8 +51,8 @@ fn main() {
         let exp = ExperimentConfig { eval_devices: scale.eval_devices, seed };
 
         let strategies: Vec<Box<dyn AdaptStrategy>> = vec![
-            Box::new(FedAvgStrategy::new(cfg.clone(), seed)),
-            Box::new(HeteroFlStrategy::new(cfg.clone(), seed)),
+            Box::new(DenseFlStrategy::fedavg(cfg.clone(), seed)),
+            Box::new(DenseFlStrategy::heterofl(cfg.clone(), seed)),
             Box::new(NebulaStrategy::new(cfg.clone(), seed)),
         ];
         for mut s in strategies {

@@ -13,8 +13,7 @@
 use nebula_bench::{emit_record, print_row, Scale, TaskRow};
 use nebula_sim::experiment::{run_adaptation_step, ExperimentConfig};
 use nebula_sim::{
-    AdaptStrategy, AdaptiveNetStrategy, FedAvgStrategy, HeteroFlStrategy, LocalAdaptStrategy, NebulaStrategy,
-    NoAdaptStrategy,
+    AdaptStrategy, AdaptiveNetStrategy, DenseFlStrategy, LocalAdaptStrategy, NebulaStrategy, NoAdaptStrategy,
 };
 use serde::Serialize;
 
@@ -46,8 +45,8 @@ fn main() {
             Box::new(NoAdaptStrategy::new(cfg.clone(), seed)),
             Box::new(LocalAdaptStrategy::new(cfg.clone(), seed)),
             Box::new(AdaptiveNetStrategy::new(cfg.clone(), seed)),
-            Box::new(FedAvgStrategy::new(cfg.clone(), seed)),
-            Box::new(HeteroFlStrategy::new(cfg.clone(), seed)),
+            Box::new(DenseFlStrategy::fedavg(cfg.clone(), seed)),
+            Box::new(DenseFlStrategy::heterofl(cfg.clone(), seed)),
             Box::new(NebulaStrategy::new(cfg.clone(), seed)),
         ];
         let mut accs = Vec::new();

@@ -105,11 +105,6 @@ impl EdgeClient {
         self.spec = new_spec;
     }
 
-    /// Back-compat alias for [`EdgeClient::schedule_modules`].
-    pub fn shrink_to(&mut self, keep: usize, local_data: &Dataset) {
-        self.schedule_modules(keep, local_data);
-    }
-
     /// Re-activates the full installed sub-model (resources recovered).
     pub fn restore_installed(&mut self) {
         self.model.set_submodel(Some(&self.installed.clone()));
@@ -417,12 +412,12 @@ mod tests {
     }
 
     #[test]
-    fn shrink_to_reduces_active_modules() {
+    fn schedule_modules_reduces_active_modules() {
         let (cloud, synth, mut rng) = setup();
         let payload = cloud.dispatch(&SubModelSpec::full(2, 4));
         let mut client = EdgeClient::from_payload(cloud.model().config().clone(), &payload);
         let local = synth.sample(30, 0, &mut rng);
-        client.shrink_to(2, &local);
+        client.schedule_modules(2, &local);
         for l in 0..2 {
             assert_eq!(client.spec().layer(l).len(), 2);
         }

@@ -2,13 +2,14 @@
 //! corruption, stragglers and flaky links, plus the bit-identity guarantee
 //! of `FaultPlan::none()`.
 
+use nebula_core::{DispatchJob, JobResult, Transport, TransportError};
 use nebula_data::{PartitionSpec, Partitioner, SynthSpec, Synthesizer};
 use nebula_modular::ModularConfig;
 use nebula_nn::Layer;
 use nebula_sim::strategy::StrategyConfig;
 use nebula_sim::{
-    AdaptStrategy, CorruptionKind, FaultPlan, FedAvgStrategy, NebulaStrategy, ResourceSampler, RoundPolicy,
-    RoundReport, SimWorld,
+    AdaptStrategy, AdversaryPlan, CorruptionKind, DenseFlStrategy, FaultPlan, NebulaStrategy,
+    ResourceSampler, RoundPolicy, RoundReport, SimWorld,
 };
 use nebula_tensor::NebulaRng;
 
@@ -107,13 +108,57 @@ fn nebula_survives_dropout_and_corruption() {
 fn fedavg_has_no_gate_and_gets_poisoned() {
     let mut world = toy_world(16, 5);
     world.set_fault_plan(FaultPlan { corrupt_prob: 1.0, ..faulty_plan() });
-    let mut s = FedAvgStrategy::new(toy_cfg(8), 1);
+    let mut s = DenseFlStrategy::fedavg(toy_cfg(8), 1);
     let mut rng = NebulaRng::seed(3);
     let out = s.single_round(&mut world, &mut rng);
     assert!(out.stats.faults.participated > 0);
     // The poisoned server is what every device now evaluates.
     let acc = s.device_accuracy(&mut world, 0);
     assert!(acc.is_nan() || acc <= 0.5, "poisoned FedAvg still accurate: {acc}");
+}
+
+/// A transport that loses every job (every worker died mid-round).
+struct BlackHole;
+impl Transport for BlackHole {
+    fn kind(&self) -> &'static str {
+        "black-hole"
+    }
+    fn round_trip(&mut self, jobs: Vec<DispatchJob>) -> Vec<Result<JobResult, TransportError>> {
+        jobs.iter().map(|_| Err(TransportError::Closed("worker died".into()))).collect()
+    }
+}
+
+/// Corrupt and Byzantine fractions count only updates that reached the
+/// server: when the transport loses every job, nothing poisons the
+/// dense baselines' weights.
+#[test]
+fn lost_dense_jobs_poison_nothing() {
+    for heterofl in [false, true] {
+        let mut world = toy_world(16, 5);
+        world.set_fault_plan(FaultPlan {
+            corrupt_prob: 1.0,
+            corruption: CorruptionKind::Exploding,
+            adversary: AdversaryPlan { seed: 5, frac: 1.0, ..AdversaryPlan::none() },
+            ..faulty_plan()
+        });
+        let mut s = if heterofl {
+            DenseFlStrategy::heterofl(toy_cfg(8), 1)
+        } else {
+            DenseFlStrategy::fedavg(toy_cfg(8), 1)
+        };
+        s.set_transport(Box::new(BlackHole));
+        let before = s.server().param_vector();
+        let out = s.single_round(&mut world, &mut NebulaRng::seed(3));
+        assert_conserved(&out.stats.faults);
+        assert_eq!(out.stats.faults.participated, 0);
+        assert!(out.stats.faults.link_dropped > 0, "lost jobs land as link drops: {:?}", out.stats.faults);
+        let after = s.server().param_vector();
+        assert!(
+            before.iter().zip(&after).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{}: an all-lost round must leave the server bits unchanged",
+            s.name()
+        );
+    }
 }
 
 /// A deadline derived from the latency model drops extreme stragglers.
@@ -230,7 +275,7 @@ fn dead_round_with_edge_hierarchy_records_zeros() {
 fn baseline_frame_corruption_accounts_retries() {
     let mut world = toy_world(12, 5);
     world.set_fault_plan(FaultPlan { seed: 23, frame_corrupt_prob: 0.6, ..FaultPlan::none() });
-    let mut s = FedAvgStrategy::new(toy_cfg(6), 1);
+    let mut s = DenseFlStrategy::fedavg(toy_cfg(6), 1);
     let mut rng = NebulaRng::seed(3);
     let mut total = RoundReport::default();
     for _ in 0..3 {

@@ -1,8 +1,9 @@
 //! Nested-parallelism policy.
 //!
 //! The simulator parallelises at the *client* level: one task per sampled
-//! device inside a collaborative round (`strategy.rs`, `fedavg_round`,
-//! `heterofl_round`). The tensor kernels also parallelise, at the
+//! device inside a collaborative round (Nebula's in-process round in
+//! `sim::strategy`, and `core::net::Loopback`, which also runs the dense
+//! baselines' jobs). The tensor kernels also parallelise, at the
 //! *row-block* level, once a product is large enough. Letting both fire at
 //! once oversubscribes the pool: every client task forks its own kernel
 //! tasks, and the fork/join overhead swamps the 16×96×24-sized products a

@@ -7,8 +7,8 @@ use nebula::modular::ModularConfig;
 use nebula::sim::experiment::{run_adaptation_step, ExperimentConfig};
 use nebula::sim::strategy::{AdaptStrategy, StrategyConfig};
 use nebula::sim::{
-    AdaptiveNetStrategy, FedAvgStrategy, HeteroFlStrategy, LocalAdaptStrategy, NebulaStrategy,
-    NoAdaptStrategy, ResourceSampler, SimWorld,
+    AdaptiveNetStrategy, DenseFlStrategy, LocalAdaptStrategy, NebulaStrategy, NoAdaptStrategy,
+    ResourceSampler, SimWorld,
 };
 
 fn toy_world(seed: u64) -> SimWorld {
@@ -59,8 +59,8 @@ fn communication_profile_matches_paradigm() {
     // moves fewer than FedAvg at equal round counts.
     let la = run(&mut LocalAdaptStrategy::new(toy_cfg(), 1));
     let an = run(&mut AdaptiveNetStrategy::new(toy_cfg(), 1));
-    let fa = run(&mut FedAvgStrategy::new(toy_cfg(), 1));
-    let hfl = run(&mut HeteroFlStrategy::new(toy_cfg(), 1));
+    let fa = run(&mut DenseFlStrategy::fedavg(toy_cfg(), 1));
+    let hfl = run(&mut DenseFlStrategy::heterofl(toy_cfg(), 1));
     let nb = run(&mut NebulaStrategy::new(toy_cfg(), 1));
 
     assert_eq!(la.comm_total_bytes, 0);
@@ -79,8 +79,8 @@ fn communication_profile_matches_paradigm() {
 fn footprints_respect_resource_awareness() {
     // Resource-aware systems give devices smaller models than full-model
     // systems.
-    let fa = run(&mut FedAvgStrategy::new(toy_cfg(), 1));
-    let hfl = run(&mut HeteroFlStrategy::new(toy_cfg(), 1));
+    let fa = run(&mut DenseFlStrategy::fedavg(toy_cfg(), 1));
+    let hfl = run(&mut DenseFlStrategy::heterofl(toy_cfg(), 1));
     let nb = run(&mut NebulaStrategy::new(toy_cfg(), 1));
     assert!(hfl.mean_params <= fa.mean_params, "HFL {} vs FA {}", hfl.mean_params, fa.mean_params);
     assert!(nb.mean_params < fa.mean_params, "Nebula {} vs FA {}", nb.mean_params, fa.mean_params);
