@@ -3,6 +3,10 @@
 //! on exactly these parameter digests and round counters. Any change to
 //! how the baselines sample, train, move bytes or combine updates shows
 //! up here.
+//!
+//! Every fingerprint runs under the scalar blocked kernel engine, so the
+//! digests are the same on every host whatever SIMD tier it has. The
+//! backend is process-global, so the tests hold one lock while they run.
 
 use nebula_core::WireConfig;
 use nebula_data::{PartitionSpec, Partitioner, SynthSpec, Synthesizer};
@@ -13,7 +17,17 @@ use nebula_sim::{
     param_digest, AdaptStrategy, AdversaryPlan, AttackPersona, CorruptionKind, DenseFlStrategy, FaultPlan,
     ResourceSampler, RoundPolicy, RoundStats, SimWorld,
 };
-use nebula_tensor::NebulaRng;
+use nebula_tensor::{KernelBackend, NebulaRng};
+use std::sync::Mutex;
+
+static BACKEND: Mutex<()> = Mutex::new(());
+
+/// Runs `f` under the blocked kernel engine, one test at a time.
+fn blocked<T>(f: impl FnOnce() -> T) -> T {
+    let _lock = BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    let _backend = KernelBackend::Blocked.scoped();
+    f()
+}
 
 fn toy_world(faults: Option<FaultPlan>) -> SimWorld {
     let synth = Synthesizer::new(SynthSpec::toy(), 1);
@@ -69,67 +83,69 @@ enum Algo {
 /// Runs three rounds and renders the final server digest plus the
 /// summed round counters and byte totals.
 fn fingerprint(algo: Algo, wire: WireConfig, faults: Option<FaultPlan>) -> String {
-    let mut world = toy_world(faults);
-    let mut rng = NebulaRng::seed(3);
-    let mut stats = RoundStats::default();
-    let mut s = match algo {
-        Algo::FedAvg => DenseFlStrategy::fedavg(toy_cfg(wire), 1),
-        Algo::HeteroFl => DenseFlStrategy::heterofl(toy_cfg(wire), 1),
-    };
-    for _ in 0..3 {
-        stats.merge(&s.single_round(&mut world, &mut rng).stats);
-    }
-    let params = s.server().param_vector();
-    let (c, f) = (stats.comm, stats.faults);
-    format!(
-        "{:016x} down={}/{} up={}/{} retry={}/{} | sampled={} participated={} dropped={} crashed={} \
-         deadline={} link={} retried={} corrupt_frames={}",
-        param_digest(&params),
-        c.downloads,
-        c.down_bytes,
-        c.uploads,
-        c.up_bytes,
-        c.retries,
-        c.retry_bytes,
-        f.sampled,
-        f.participated,
-        f.dropped,
-        f.crashed,
-        f.deadline_dropped,
-        f.link_dropped,
-        f.retried,
-        f.corrupt_frames,
-    )
+    blocked(|| {
+        let mut world = toy_world(faults);
+        let mut rng = NebulaRng::seed(3);
+        let mut stats = RoundStats::default();
+        let mut s = match algo {
+            Algo::FedAvg => DenseFlStrategy::fedavg(toy_cfg(wire), 1),
+            Algo::HeteroFl => DenseFlStrategy::heterofl(toy_cfg(wire), 1),
+        };
+        for _ in 0..3 {
+            stats.merge(&s.single_round(&mut world, &mut rng).stats);
+        }
+        let params = s.server().param_vector();
+        let (c, f) = (stats.comm, stats.faults);
+        format!(
+            "{:016x} down={}/{} up={}/{} retry={}/{} | sampled={} participated={} dropped={} crashed={} \
+             deadline={} link={} retried={} corrupt_frames={}",
+            param_digest(&params),
+            c.downloads,
+            c.down_bytes,
+            c.uploads,
+            c.up_bytes,
+            c.retries,
+            c.retry_bytes,
+            f.sampled,
+            f.participated,
+            f.dropped,
+            f.crashed,
+            f.deadline_dropped,
+            f.link_dropped,
+            f.retried,
+            f.corrupt_frames,
+        )
+    })
 }
 
 #[test]
 fn fedavg_raw_fault_free_is_pinned() {
-    assert_eq!(fingerprint(Algo::FedAvg, WireConfig::raw(), None), "47019398cc7ddf9c down=18/503352 up=18/503352 retry=0/0 | sampled=18 participated=18 dropped=0 crashed=0 deadline=0 link=0 retried=0 corrupt_frames=0");
+    assert_eq!(fingerprint(Algo::FedAvg, WireConfig::raw(), None), "c5a23aa7c3636433 down=18/503352 up=18/503352 retry=0/0 | sampled=18 participated=18 dropped=0 crashed=0 deadline=0 link=0 retried=0 corrupt_frames=0");
 }
 
 #[test]
 fn heterofl_raw_fault_free_is_pinned() {
-    assert_eq!(fingerprint(Algo::HeteroFl, WireConfig::raw(), None), "a0c293aa55a67b29 down=18/153912 up=18/153912 retry=0/0 | sampled=18 participated=18 dropped=0 crashed=0 deadline=0 link=0 retried=0 corrupt_frames=0");
+    assert_eq!(fingerprint(Algo::HeteroFl, WireConfig::raw(), None), "1364e259a0da7a8a down=18/153912 up=18/153912 retry=0/0 | sampled=18 participated=18 dropped=0 crashed=0 deadline=0 link=0 retried=0 corrupt_frames=0");
 }
 
 #[test]
 fn fedavg_raw_under_mixed_faults_is_pinned() {
-    assert_eq!(fingerprint(Algo::FedAvg, WireConfig::raw(), Some(mixed_plan())), "ef69b17f57ddac13 down=11/307604 up=9/251676 retry=8/223360 | sampled=18 participated=9 dropped=3 crashed=2 deadline=2 link=2 retried=8 corrupt_frames=2");
+    assert_eq!(fingerprint(Algo::FedAvg, WireConfig::raw(), Some(mixed_plan())), "691f7d42a9f8b10f down=11/307604 up=9/251676 retry=8/223360 | sampled=18 participated=9 dropped=3 crashed=2 deadline=2 link=2 retried=8 corrupt_frames=2");
 }
 
 #[test]
 fn heterofl_raw_under_mixed_faults_is_pinned() {
-    assert_eq!(fingerprint(Algo::HeteroFl, WireConfig::raw(), Some(mixed_plan())), "d70726f099780efc down=10/83080 up=8/67712 retry=8/70480 | sampled=18 participated=8 dropped=3 crashed=2 deadline=3 link=2 retried=8 corrupt_frames=2");
+    assert_eq!(fingerprint(Algo::HeteroFl, WireConfig::raw(), Some(mixed_plan())), "ade15eb8d4fedc8e down=10/83080 up=8/67712 retry=8/70480 | sampled=18 participated=8 dropped=3 crashed=2 deadline=3 link=2 retried=8 corrupt_frames=2");
 }
 
 #[test]
 fn fedavg_delta_is_pinned() {
-    assert_eq!(fingerprint(Algo::FedAvg, WireConfig::delta(0.01), None), "cd74b0345c2a8cd5 down=18/298088 up=18/308712 retry=0/0 | sampled=18 participated=18 dropped=0 crashed=0 deadline=0 link=0 retried=0 corrupt_frames=0");
+    assert_eq!(fingerprint(Algo::FedAvg, WireConfig::delta(0.01), None), "2df9c1457a9ef53d down=18/298088 up=18/308712 retry=0/0 | sampled=18 participated=18 dropped=0 crashed=0 deadline=0 link=0 retried=0 corrupt_frames=0");
 }
 
 #[test]
 fn heterofl_delta_is_pinned() {
-    assert_eq!(fingerprint(Algo::HeteroFl, WireConfig::delta(0.01), None), "18ecec6a89544a3c down=18/118328 up=18/123928 retry=0/0 | sampled=18 participated=18 dropped=0 crashed=0 deadline=0 link=0 retried=0 corrupt_frames=0");
+    assert_eq!(fingerprint(Algo::HeteroFl, WireConfig::delta(0.01), None), "505bbc09c08d506d down=18/118328 up=18/123928 retry=0/0 | sampled=18 participated=18 dropped=0 crashed=0 deadline=0 link=0 retried=0 corrupt_frames=0");
 }
 
 #[test]
