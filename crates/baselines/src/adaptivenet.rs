@@ -83,7 +83,7 @@ impl AdaptiveNet {
     ) -> (DenseModel, u64) {
         let params = self.supernet.param_vector();
         let mask = self.supernet.mask_for_ratio(ratio);
-        let slice: Vec<f32> = params.iter().zip(&mask).filter_map(|(&v, &m)| m.then_some(v)).collect();
+        let slice = crate::federated::slice(&params, &mask);
         let mut decoded = Vec::new();
         let bytes =
             pool.send_down(device, &slice, &mut decoded).expect("pristine in-process frame must decode");

@@ -121,7 +121,7 @@ pub struct DenseRound {
 }
 
 /// The active coordinates of `full` under `mask`.
-fn slice(full: &[f32], mask: &[bool]) -> Vec<f32> {
+pub fn slice(full: &[f32], mask: &[bool]) -> Vec<f32> {
     full.iter().zip(mask).filter_map(|(&v, &m)| m.then_some(v)).collect()
 }
 

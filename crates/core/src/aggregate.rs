@@ -329,14 +329,9 @@ impl EdgePartial {
     /// Bytes the edge→cloud upload costs.
     pub fn wire_bytes(&self) -> u64 {
         let streamed: u64 = self.groups.iter().map(|(_, a)| a.wire_bytes()).sum();
-        let buffered: u64 = self.buffered.iter().map(update_wire_bytes).sum();
+        let buffered: u64 = self.buffered.iter().map(crate::edge::update_bytes).sum();
         streamed + buffered
     }
-}
-
-fn update_wire_bytes(u: &ModuleUpdate) -> u64 {
-    let module: usize = u.module_params.values().map(Vec::len).sum();
-    ((module + u.shared_params.len()) * 4) as u64
 }
 
 /// The aggregation half of an edge server: ingests device updates as they

@@ -10,8 +10,8 @@ use crate::aggregate::{
     aggregate_module_wise, aggregate_module_wise_robust, sanitize_updates, EdgePartial, ModuleUpdate,
     RobustAggregator, SanitizePolicy, SanitizeReport, StreamingAccumulator,
 };
-use crate::checkpoint::{self, Checkpoint, CheckpointError};
-use crate::derive::{derive_submodel, DeriveOutcome};
+use crate::checkpoint;
+use crate::derive::{derive_from_data, derive_submodel, DeriveOutcome};
 use crate::offline::{enhance_module_abilities, pretrain, EnhanceConfig, EnhanceOutcome, PretrainConfig};
 use crate::profile::ResourceProfile;
 use nebula_data::Dataset;
@@ -59,6 +59,19 @@ pub struct SubModelPayload {
 }
 
 impl SubModelPayload {
+    /// Cuts the sub-model `spec` out of `model`: the cloud and every edge
+    /// replica package payloads through this one function.
+    pub(crate) fn cut(model: &ModularModel, spec: &SubModelSpec) -> Self {
+        spec.validate(model.num_layers(), model.config().modules_per_layer);
+        let mut module_params = BTreeMap::new();
+        for (l, layer) in spec.layers().iter().enumerate() {
+            for &i in layer {
+                module_params.insert((l, i), model.module_param_vector(l, i));
+            }
+        }
+        SubModelPayload { spec: spec.clone(), module_params, shared_params: model.shared_param_vector() }
+    }
+
     /// Bytes on the wire (f32 parameters).
     pub fn bytes(&self) -> u64 {
         let module: usize = self.module_params.values().map(Vec::len).sum();
@@ -120,9 +133,7 @@ impl NebulaCloud {
         profile: &ResourceProfile,
         module_cap: Option<usize>,
     ) -> DeriveOutcome {
-        assert!(!local_data.is_empty(), "cannot derive from empty local data");
-        let importance = self.model.importance(local_data.features());
-        derive_submodel(&self.cost, &importance, profile, module_cap)
+        derive_from_data(&mut self.model, &self.cost, local_data, profile, module_cap)
     }
 
     /// Online: derive directly from an importance matrix (devices can score
@@ -138,14 +149,7 @@ impl NebulaCloud {
 
     /// Packages a sub-model for shipping to a device.
     pub fn dispatch(&self, spec: &SubModelSpec) -> SubModelPayload {
-        spec.validate(self.model.num_layers(), self.model.config().modules_per_layer);
-        let mut module_params = BTreeMap::new();
-        for (l, layer) in spec.layers().iter().enumerate() {
-            for &i in layer {
-                module_params.insert((l, i), self.model.module_param_vector(l, i));
-            }
-        }
-        SubModelPayload { spec: spec.clone(), module_params, shared_params: self.model.shared_param_vector() }
+        SubModelPayload::cut(&self.model, spec)
     }
 
     /// Aggregates a round of device updates module-wise (§5.2). Returns
@@ -155,20 +159,10 @@ impl NebulaCloud {
     }
 
     /// Aggregates a round behind the sanitize gate: non-finite and
-    /// norm-outlier updates are rejected before they can touch the model.
-    /// With nothing to reject this is exactly [`NebulaCloud::aggregate`].
-    pub fn aggregate_robust(
-        &mut self,
-        updates: &[ModuleUpdate],
-        policy: &SanitizePolicy,
-    ) -> AggregateOutcome {
-        self.aggregate_robust_with(updates, policy, RobustAggregator::WeightedMean)
-    }
-
-    /// [`NebulaCloud::aggregate_robust`] with a selectable combine rule:
-    /// the sanitize gate filters first, then `aggregator` merges the
-    /// survivors module-wise. `WeightedMean` reproduces the unparameterized
-    /// method bit-for-bit.
+    /// norm-outlier updates are rejected before they can touch the model,
+    /// then `aggregator` merges the survivors module-wise. Under
+    /// `WeightedMean` with nothing to reject this is exactly
+    /// [`NebulaCloud::aggregate`].
     pub fn aggregate_robust_with(
         &mut self,
         updates: &[ModuleUpdate],
@@ -181,14 +175,6 @@ impl NebulaCloud {
         AggregateOutcome { touched, sanitize }
     }
 
-    /// Applies a streamed accumulator to the cloud model. Returns the
-    /// number of modules touched. Callers that need the sanitize gate
-    /// should have applied its per-update checks at fold time (see
-    /// [`crate::aggregate::EdgeAccumulator`]).
-    pub fn apply_accumulator(&mut self, acc: &StreamingAccumulator) -> usize {
-        acc.apply(&mut self.model)
-    }
-
     /// Hierarchical aggregation: merges edge partials into the cloud
     /// model, in the order given.
     ///
@@ -196,8 +182,10 @@ impl NebulaCloud {
     /// partials — callers pass partials in shard order, so group order is
     /// the canonical cell order and the result does not depend on how
     /// cells were assigned to shards. Buffered updates (robust combine
-    /// rules) are concatenated in the same order and pushed through the
-    /// full sanitize gate + robust rule, exactly as a flat round would.
+    /// rules, or a flat round's whole cohort) are concatenated in the
+    /// same order and pushed through the full sanitize gate + combine
+    /// rule: one buffered partial aggregates exactly as
+    /// [`NebulaCloud::aggregate_robust_with`] does.
     pub fn absorb_partials(
         &mut self,
         partials: &[EdgePartial],
@@ -235,68 +223,22 @@ impl NebulaCloud {
         AggregateOutcome { touched, sanitize }
     }
 
-    /// [`NebulaCloud::absorb_partials`] under the checkpoint-rollback
-    /// guard (same contract as [`NebulaCloud::aggregate_guarded_with`]).
-    pub fn absorb_partials_guarded(
-        &mut self,
-        partials: &[EdgePartial],
-        policy: &SanitizePolicy,
-        aggregator: RobustAggregator,
-        mut probe: impl FnMut(&mut ModularModel) -> f32,
-        max_drop: f32,
-    ) -> GuardedOutcome {
-        let ckpt = checkpoint::snapshot(&self.model);
-        let acc_before = probe(&mut self.model);
-        let out = self.absorb_partials(partials, policy, aggregator);
-        let acc_after = probe(&mut self.model);
-        let rolled_back = !acc_after.is_finite() || acc_after < acc_before - max_drop;
-        if rolled_back {
-            checkpoint::restore(&mut self.model, &ckpt)
-                .expect("a snapshot of the same model always restores");
-        }
-        GuardedOutcome { touched: out.touched, sanitize: out.sanitize, rolled_back, acc_before, acc_after }
-    }
-
-    /// In-memory checkpoint of the cloud model (for the rollback guard).
-    pub fn snapshot(&self) -> Checkpoint {
-        checkpoint::snapshot(&self.model)
-    }
-
-    /// Restores the cloud model from a snapshot taken earlier.
-    // The mismatch variant carries both configs for diagnostics; rollback is rare.
-    #[allow(clippy::result_large_err)]
-    pub fn rollback(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        checkpoint::restore(&mut self.model, ckpt)
-    }
-
-    /// [`NebulaCloud::aggregate_robust`] under a checkpoint guard: the
+    /// Runs one aggregation under the checkpoint-rollback guard: the
     /// model is snapshotted, `probe` measures accuracy before and after
-    /// aggregation, and if the drop exceeds `max_drop` the aggregation is
-    /// rolled back (updates that slipped past the sanitize gate but still
-    /// wrecked the model). `probe` takes `&mut` because evaluation uses
-    /// the model's forward caches.
-    pub fn aggregate_guarded(
+    /// `aggregate` runs, and if the drop exceeds `max_drop` (or the probe
+    /// reads non-finite) the aggregation is rolled back — updates that
+    /// slipped past the sanitize gate but still wrecked the model.
+    /// `probe` takes `&mut` because evaluation uses the model's forward
+    /// caches.
+    pub fn guarded(
         &mut self,
-        updates: &[ModuleUpdate],
-        policy: &SanitizePolicy,
-        probe: impl FnMut(&mut ModularModel) -> f32,
-        max_drop: f32,
-    ) -> GuardedOutcome {
-        self.aggregate_guarded_with(updates, policy, RobustAggregator::WeightedMean, probe, max_drop)
-    }
-
-    /// [`NebulaCloud::aggregate_guarded`] with a selectable combine rule.
-    pub fn aggregate_guarded_with(
-        &mut self,
-        updates: &[ModuleUpdate],
-        policy: &SanitizePolicy,
-        aggregator: RobustAggregator,
         mut probe: impl FnMut(&mut ModularModel) -> f32,
         max_drop: f32,
+        aggregate: impl FnOnce(&mut Self) -> AggregateOutcome,
     ) -> GuardedOutcome {
         let ckpt = checkpoint::snapshot(&self.model);
         let acc_before = probe(&mut self.model);
-        let out = self.aggregate_robust_with(updates, policy, aggregator);
+        let out = aggregate(self);
         let acc_after = probe(&mut self.model);
         let rolled_back = !acc_after.is_finite() || acc_after < acc_before - max_drop;
         if rolled_back {
@@ -307,7 +249,7 @@ impl NebulaCloud {
     }
 }
 
-/// What [`NebulaCloud::aggregate_robust`] did.
+/// What one aggregation call did.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AggregateOutcome {
     /// Modules that received at least one accepted update.
@@ -316,7 +258,7 @@ pub struct AggregateOutcome {
     pub sanitize: SanitizeReport,
 }
 
-/// What [`NebulaCloud::aggregate_guarded`] did.
+/// What [`NebulaCloud::guarded`] did.
 #[derive(Clone, Copy, Debug)]
 pub struct GuardedOutcome {
     pub touched: usize,
@@ -396,7 +338,8 @@ mod tests {
         let good = honest_update(&c, 0.5);
         let mut bad = honest_update(&c, 0.5);
         bad.shared_params[0] = f32::NAN;
-        let out = c.aggregate_robust(&[good, bad], &SanitizePolicy::default());
+        let out =
+            c.aggregate_robust_with(&[good, bad], &SanitizePolicy::default(), RobustAggregator::WeightedMean);
         assert_eq!(out.sanitize.rejected_non_finite, 1);
         assert_eq!(out.sanitize.accepted, 1);
         assert!(out.touched > 0);
@@ -410,9 +353,7 @@ mod tests {
         let u = honest_update(&c, 1.0);
         // Probe reports a collapse after aggregation → rollback.
         let mut calls = 0;
-        let out = c.aggregate_guarded(
-            &[u],
-            &SanitizePolicy::default(),
+        let out = c.guarded(
             |_m| {
                 calls += 1;
                 if calls == 1 {
@@ -422,6 +363,7 @@ mod tests {
                 }
             },
             0.2,
+            |c| c.aggregate_robust_with(&[u], &SanitizePolicy::default(), RobustAggregator::WeightedMean),
         );
         assert!(out.rolled_back);
         assert_eq!(c.model().param_vector(), before, "rollback must restore the snapshot");
@@ -432,7 +374,11 @@ mod tests {
         let mut c = cloud();
         let before = c.model().param_vector();
         let u = honest_update(&c, 1.0);
-        let out = c.aggregate_guarded(&[u], &SanitizePolicy::default(), |_m| 0.8, 0.2);
+        let out = c.guarded(
+            |_m| 0.8,
+            0.2,
+            |c| c.aggregate_robust_with(&[u], &SanitizePolicy::default(), RobustAggregator::WeightedMean),
+        );
         assert!(!out.rolled_back);
         assert_ne!(c.model().param_vector(), before, "benign aggregation must stick");
     }

@@ -13,8 +13,9 @@
 //!    (Eq. 2) over {communication, computation, memory}.
 
 use crate::profile::ResourceProfile;
+use nebula_data::Dataset;
 use nebula_modular::cost::CostModel;
-use nebula_modular::SubModelSpec;
+use nebula_modular::{ModularModel, SubModelSpec};
 use nebula_opt::{solve_mdkp_greedy, MdkpInstance};
 use nebula_wire::CodecKind;
 
@@ -48,6 +49,22 @@ pub fn derive_submodel(
     // Raw planned bytes equal the analytic `4 × params` exactly, so this
     // wrapper is bit-identical to the historical derivation.
     derive_submodel_with_codec(cost, importance, profile, extra_module_cap, CodecKind::Raw)
+}
+
+/// Derives a device's sub-model from a sample of its local data: module
+/// importance is scored by `model`'s decoupled selector, then
+/// [`derive_submodel`] runs under `profile`. The cloud and every edge
+/// replica derive through this one function.
+pub(crate) fn derive_from_data(
+    model: &mut ModularModel,
+    cost: &CostModel,
+    local_data: &Dataset,
+    profile: &ResourceProfile,
+    module_cap: Option<usize>,
+) -> DeriveOutcome {
+    assert!(!local_data.is_empty(), "cannot derive from empty local data");
+    let importance = model.importance(local_data.features());
+    derive_submodel(cost, &importance, profile, module_cap)
 }
 
 /// [`derive_submodel`] with the communication dimension charged at the

@@ -9,7 +9,7 @@
 
 use crate::aggregate::{EdgeAccumulator, EdgePartial, ModuleUpdate, RobustAggregator, SanitizePolicy};
 use crate::cloud::{NebulaCloud, SubModelPayload};
-use crate::derive::{derive_submodel, DeriveOutcome};
+use crate::derive::{derive_from_data, derive_submodel, DeriveOutcome};
 use crate::profile::ResourceProfile;
 use nebula_data::{Dataset, TrainConfig};
 use nebula_modular::cost::CostModel;
@@ -263,9 +263,7 @@ impl EdgeServer {
         profile: &ResourceProfile,
         module_cap: Option<usize>,
     ) -> DeriveOutcome {
-        assert!(!local_data.is_empty(), "cannot derive from empty local data");
-        let importance = self.model.importance(local_data.features());
-        derive_submodel(&self.cost, &importance, profile, module_cap)
+        derive_from_data(&mut self.model, &self.cost, local_data, profile, module_cap)
     }
 
     /// Derives directly from an importance matrix (devices that score
@@ -281,14 +279,7 @@ impl EdgeServer {
 
     /// Packages a sub-model for a device from the replica's parameters.
     pub fn dispatch(&self, spec: &SubModelSpec) -> SubModelPayload {
-        spec.validate(self.model.num_layers(), self.model.config().modules_per_layer);
-        let mut module_params = BTreeMap::new();
-        for (l, layer) in spec.layers().iter().enumerate() {
-            for &i in layer {
-                module_params.insert((l, i), self.model.module_param_vector(l, i));
-            }
-        }
-        SubModelPayload { spec: spec.clone(), module_params, shared_params: self.model.shared_param_vector() }
+        SubModelPayload::cut(&self.model, spec)
     }
 
     /// The replica's cost model (device resource profiles).

@@ -18,6 +18,9 @@
 //! * [`cloud`] / [`edge`] — the cloud orchestrator and the edge client,
 //!   exchanging [`cloud::SubModelPayload`] and [`edge::EdgeUpdate`]
 //!   messages whose byte sizes drive the communication accounting.
+//! * [`codec`] — the wire codec context turning those messages into
+//!   `nebula-wire` frames and back; [`net`] is the dispatch transport
+//!   that moves a round's training jobs to their executors.
 //! * [`profile`] — the resource-constraint triple (memory, compute,
 //!   bandwidth) produced by a local profiler.
 //! * [`presets`] — per-task modular configurations mirroring the paper's
@@ -27,6 +30,7 @@
 pub mod aggregate;
 pub mod checkpoint;
 pub mod cloud;
+pub mod codec;
 pub mod derive;
 pub mod edge;
 pub mod journal;
@@ -36,7 +40,6 @@ pub mod presets;
 pub mod profile;
 pub mod retry;
 pub mod stats;
-pub mod transport;
 
 pub use aggregate::{
     aggregate_module_wise, aggregate_module_wise_refs, aggregate_module_wise_robust,
@@ -45,6 +48,7 @@ pub use aggregate::{
 };
 pub use checkpoint::{restore, snapshot, Checkpoint, CheckpointError};
 pub use cloud::{AggregateOutcome, GuardedOutcome, NebulaCloud, NebulaParams, SubModelPayload};
+pub use codec::{WireConfig, WireContext};
 pub use derive::{derive_submodel, derive_submodel_with_codec, DeriveOutcome};
 pub use edge::{EdgeClient, EdgeClientState, EdgeServer, EdgeUpdate};
 pub use journal::{
@@ -60,4 +64,3 @@ pub use presets::{modular_config_for, modular_config_for_sequence};
 pub use profile::ResourceProfile;
 pub use retry::{backoff_ms, plan_corrupt_resend, plan_upload, round_deadline_ms, RetryPolicy, UploadPlan};
 pub use stats::{CommTracker, RoundReport, RoundStats};
-pub use transport::{WireConfig, WireContext};

@@ -23,8 +23,8 @@
 //! remote worker reproduce the loopback trajectory bit-for-bit under
 //! the `Raw` codec: a fresh decoder has no state to diverge on.
 
+use crate::codec::{WireConfig, WireContext};
 use crate::edge::{EdgeClient, EdgeUpdate};
-use crate::transport::{WireConfig, WireContext};
 use nebula_data::Dataset;
 use nebula_modular::ModularConfig;
 use nebula_tensor::NebulaRng;

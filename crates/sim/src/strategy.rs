@@ -22,21 +22,23 @@ use crate::faults::{
 };
 use crate::latency::adaptation_latency_ms;
 use crate::network::{transfer_time_ms, CommTracker};
+use crate::round::{RoundPlan, Seat};
 use crate::world::SimWorld;
 use nebula_baselines::{
-    dense_round, local_adapt, ratio_for_budget, AdaptiveNet, Combine, DenseJobRunner, DenseModel, Participant,
+    dense_round, federated, local_adapt, ratio_for_budget, AdaptiveNet, Combine, DenseJobRunner, DenseModel,
+    Participant,
 };
 use nebula_core::{
-    discount_staleness, plan_corrupt_resend, plan_upload, round_deadline_ms, EdgeAccumulator, EdgeClient,
-    EdgeClientState, EdgePartial, EdgeUpdate, Loopback, NebulaCloud, NebulaParams, RobustAggregator,
-    RoundStats, SanitizePolicy, WireConfig, WireContext,
+    discount_staleness, plan_corrupt_resend, EdgeAccumulator, EdgeClient, EdgeClientState, EdgePartial,
+    EdgeUpdate, Loopback, NebulaCloud, NebulaParams, RobustAggregator, RoundStats, SanitizePolicy,
+    SubModelPayload, WireConfig, WireContext,
 };
 use nebula_data::Dataset;
 use nebula_modular::ModularConfig;
 use nebula_nn::Layer;
 use nebula_telemetry::Telemetry;
 use nebula_tensor::NebulaRng;
-use nebula_wire::{CodecKind, DensePool};
+use nebula_wire::{CodecKind, DensePool, WireError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -149,11 +151,6 @@ impl StrategyConfig {
     }
 }
 
-/// Approximate forward MACs of a dense model: one MAC per weight.
-fn dense_forward_flops(model: &DenseModel) -> u64 {
-    model.param_count() as u64
-}
-
 fn dense_footprint(model: &DenseModel, ratio: f32) -> Footprint {
     let params = model.active_params(ratio) as u64;
     Footprint {
@@ -208,50 +205,6 @@ fn bits_of(params: &[f32]) -> Vec<u32> {
 
 fn floats_of(bits: &[u32]) -> Vec<f32> {
     bits.iter().map(|&b| f32::from_bits(b)).collect()
-}
-
-/// Round-level telemetry shared by the collaborative strategies: fault
-/// counters plus one `kind = "round"` event. One branch on a disarmed
-/// handle.
-fn note_round(t: &Telemetry, round: u64, comm: &CommTracker, report: &RoundReport, round_time_ms: f64) {
-    if !t.enabled() {
-        return;
-    }
-    t.counter_add("rounds", 1);
-    t.counter_add("faults.dropped", report.dropped);
-    t.counter_add("faults.crashed", report.crashed);
-    t.counter_add("faults.deadline_dropped", report.deadline_dropped);
-    t.counter_add("faults.link_dropped", report.link_dropped);
-    t.counter_add("faults.rejected", report.rejected);
-    t.counter_add("faults.retried", report.retried);
-    t.counter_add("faults.stale", report.stale);
-    t.counter_add("faults.rolled_back", report.rolled_back);
-    t.counter_add("faults.corrupt_frames", report.corrupt_frames);
-    t.observe("round.time_ms", round_time_ms);
-    t.emit("round", |e| {
-        e.ints.insert("index".into(), round);
-        e.ints.insert("sampled".into(), report.sampled);
-        e.ints.insert("participated".into(), report.participated);
-        e.ints.insert("lost".into(), report.lost());
-        e.ints.insert("rejected".into(), report.rejected);
-        e.ints.insert("down_bytes".into(), comm.down_bytes);
-        e.ints.insert("up_bytes".into(), comm.up_bytes);
-        e.ints.insert("retry_bytes".into(), comm.retry_bytes);
-        e.num.insert("round_time_ms".into(), round_time_ms);
-    });
-}
-
-/// Per-device fate telemetry (`kind = "client"`). `time_ms` is the
-/// simulated participant wall-clock when one was derived before the
-/// device's fate resolved.
-fn note_client(t: &Telemetry, device: usize, outcome: &'static str, time_ms: Option<f64>) {
-    t.emit("client", |e| {
-        e.ints.insert("device".into(), device as u64);
-        e.text.insert("outcome".into(), outcome.into());
-        if let Some(ms) = time_ms {
-            e.num.insert("time_ms".into(), ms);
-        }
-    });
 }
 
 /// One adaptation system under test.
@@ -316,6 +269,16 @@ pub trait AdaptStrategy {
     }
 }
 
+/// Offline stage shared by NA/LA/FA/HFL: pre-train the dense model on
+/// the cloud proxy data.
+fn pretrain_dense(cfg: &StrategyConfig, model: &mut DenseModel, world: &mut SimWorld, rng: &mut NebulaRng) {
+    let proxy = world.proxy(cfg.proxy_samples);
+    let mut opt = nebula_nn::Sgd::with_momentum(0.05, 0.9);
+    let train =
+        nebula_data::TrainConfig { epochs: cfg.pretrain_epochs, batch_size: 32, clip_norm: Some(5.0) };
+    nebula_data::train_epochs(model, &mut opt, &proxy, train, rng);
+}
+
 /// Dense-strategy export shared by NA/FA/HFL.
 fn dense_export(name: &str, model: &DenseModel) -> StrategyState {
     StrategyState::Dense(DenseState { name: name.to_string(), param_bits: bits_of(&model.param_vector()) })
@@ -363,19 +326,7 @@ impl AdaptStrategy for NoAdaptStrategy {
     }
 
     fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        let proxy = world.proxy(self.cfg.proxy_samples);
-        let mut opt = nebula_nn::Sgd::with_momentum(0.05, 0.9);
-        nebula_data::train_epochs(
-            &mut self.model,
-            &mut opt,
-            &proxy,
-            nebula_data::TrainConfig {
-                epochs: self.cfg.pretrain_epochs,
-                batch_size: 32,
-                clip_norm: Some(5.0),
-            },
-            rng,
-        );
+        pretrain_dense(&self.cfg, &mut self.model, world, rng);
     }
 
     fn track(&mut self, _ids: &[usize]) {}
@@ -427,19 +378,7 @@ impl AdaptStrategy for LocalAdaptStrategy {
     }
 
     fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        let proxy = world.proxy(self.cfg.proxy_samples);
-        let mut opt = nebula_nn::Sgd::with_momentum(0.05, 0.9);
-        nebula_data::train_epochs(
-            &mut self.base,
-            &mut opt,
-            &proxy,
-            nebula_data::TrainConfig {
-                epochs: self.cfg.pretrain_epochs,
-                batch_size: 32,
-                clip_norm: Some(5.0),
-            },
-            rng,
-        );
+        pretrain_dense(&self.cfg, &mut self.base, world, rng);
     }
 
     fn track(&mut self, ids: &[usize]) {
@@ -462,7 +401,7 @@ impl AdaptStrategy for LocalAdaptStrategy {
             );
             time_ms += adaptation_latency_ms(
                 &dev.resources,
-                dense_forward_flops(model),
+                model.param_count() as u64, // forward MACs: one per weight
                 dev.volume(),
                 self.cfg.finetune_epochs,
                 self.cfg.batch_size,
@@ -662,107 +601,52 @@ impl DenseFlStrategy {
     /// the contrast the fault sweep measures against Nebula's sanitize
     /// gate.
     pub fn single_round(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundOutcome {
-        let telemetry = self.telemetry.clone();
-        let mut round_span = telemetry.span("round");
-        let ids = world.sample_participants(self.cfg.devices_per_round);
-        let round = world.next_round_index();
-        round_span.int("index", round);
-        let plan = world.faults;
-        let policy = world.policy;
-        let mut comm = CommTracker::new();
-        let mut report = RoundReport { sampled: ids.len() as u64, ..Default::default() };
-
-        let mut meta: Vec<(usize, DeviceFate, f32, f64)> = Vec::with_capacity(ids.len());
+        let (mut round, ids) = RoundPlan::start(world, &self.cfg, &self.telemetry);
+        let mut admitted = Vec::with_capacity(ids.len());
         for &id in &ids {
-            let fate = plan.fate(round, id);
-            if fate.dropped {
-                report.dropped += 1;
-                continue;
-            }
+            let Some(fate) = round.fate(id) else { continue };
             // Each device exchanges its own width-scaled sub-model.
-            let ratio = self.ratio_for(&world.devices[id]);
+            let dev = &world.devices[id];
+            let ratio = self.ratio_for(dev);
             let active = self.server.active_params(ratio) as u64;
             let payload_bytes = active * 4;
-            let up = plan_upload(fate.upload_attempts, fate.flaky_link, policy.retry_policy());
-            for _ in 0..up.resends {
-                comm.record_retry(payload_bytes);
-            }
-            report.retried += up.resends as u64;
-            if !up.delivered {
-                report.link_dropped += 1;
-                continue;
-            }
-            let mut backoff = up.backoff_ms;
-            let mut resends = up.resends as u64;
+            let Some(mut up) = round.upload(id, &fate, payload_bytes) else { continue };
+            round.resend(payload_bytes, up.resends);
             // Transit corruption on the upload frame: CRC-rejected, one
             // clean resend. Without a retry budget the device is lost.
             if fate.frame_corrupt {
-                report.corrupt_frames += 1;
-                comm.record_retry(payload_bytes);
-                let Some(wait) = plan_corrupt_resend(up.resends, policy.retry_policy()) else {
-                    report.link_dropped += 1;
+                round.report.corrupt_frames += 1;
+                round.comm.record_retry(payload_bytes);
+                let Some(wait) = plan_corrupt_resend(up.resends, round.policy.retry_policy()) else {
+                    round.drop_link(id, None);
                     continue;
                 };
-                report.retried += 1;
-                resends += 1;
-                backoff += wait;
+                round.report.retried += 1;
+                up.resends += 1;
+                up.backoff_ms += wait;
             }
-            let dev = &world.devices[id];
-            let bw = dev.resources.bandwidth_bps * fate.bandwidth_factor;
-            let time_ms = adaptation_latency_ms(
-                &dev.resources,
-                active,
-                dev.volume(),
-                self.cfg.local_epochs,
-                self.cfg.batch_size,
-            ) * fate.slowdown
-                + transfer_time_ms(2 * payload_bytes + resends * payload_bytes, bw)
-                + backoff;
-            meta.push((id, fate, ratio, time_ms));
+            let time_ms = round.predict_ms(dev, &fate, active, payload_bytes, &up);
+            admitted.push((Seat { id, fate, time_ms }, ratio));
         }
 
-        let times: Vec<f64> = meta.iter().map(|m| m.3).collect();
-        let deadline = round_deadline_ms(policy.deadline_factor, &times);
-        let mut trainers: Vec<(usize, DeviceFate, f32)> = Vec::with_capacity(meta.len());
-        let mut round_time_ms = 0.0f64;
-        for (id, fate, ratio, time_ms) in meta {
-            if let Some(d) = deadline {
-                if time_ms > d {
-                    report.deadline_dropped += 1;
-                    round_time_ms = round_time_ms.max(d);
-                    continue;
-                }
-            }
-            if fate.crashed {
-                // Received its active slice as a real measured frame,
-                // died before uploading.
-                let mask = self.server.mask_for_ratio(ratio);
-                let slice: Vec<f32> = self
-                    .server
-                    .param_vector()
-                    .into_iter()
-                    .zip(mask)
-                    .filter_map(|(v, m)| m.then_some(v))
-                    .collect();
-                let mut scratch = Vec::new();
-                let bytes = self
-                    .pool
-                    .send_down(id as u64, &slice, &mut scratch)
-                    .expect("pristine in-process frame must decode");
-                comm.record_download(bytes);
-                report.crashed += 1;
-                continue;
-            }
-            round_time_ms = round_time_ms.max(time_ms);
-            trainers.push((id, fate, ratio));
-        }
+        let trainers = round.resolve(admitted, |seat, &ratio, comm| {
+            // Received its active slice as a real measured frame, died
+            // before uploading.
+            let slice = federated::slice(&self.server.param_vector(), &self.server.mask_for_ratio(ratio));
+            let mut scratch = Vec::new();
+            let bytes = self
+                .pool
+                .send_down(seat.id as u64, &slice, &mut scratch)
+                .expect("pristine in-process frame must decode");
+            comm.record_download(bytes);
+        });
 
         if !trainers.is_empty() {
             let cohort: Vec<Participant> = trainers
                 .iter()
-                .map(|&(id, _, ratio)| Participant {
-                    id: id as u64,
-                    data: &world.devices[id].partition.data,
+                .map(|&(seat, ratio)| Participant {
+                    id: seat.id as u64,
+                    data: &world.devices[seat.id].partition.data,
                     ratio,
                 })
                 .collect();
@@ -776,7 +660,7 @@ impl DenseFlStrategy {
                 &cohort,
                 self.combine,
                 train,
-                round as usize,
+                round.round as usize,
                 rng,
                 &mut self.pool,
                 self.transport.as_mut(),
@@ -784,8 +668,9 @@ impl DenseFlStrategy {
             let delivered = out.delivered.len() as u64;
             // Jobs the transport lost (worker crash/deadline) degrade the
             // round like dropped links; loopback never loses any.
-            report.link_dropped += trainers.len() as u64 - delivered;
-            report.participated = delivered;
+            round.report.link_dropped += trainers.len() as u64 - delivered;
+            round.report.participated = delivered;
+            let comm = &mut round.comm;
             comm.down_bytes = comm.down_bytes.saturating_add(out.down);
             comm.up_bytes = comm.up_bytes.saturating_add(out.up);
             comm.downloads = comm.downloads.saturating_add(trainers.len() as u64);
@@ -793,9 +678,10 @@ impl DenseFlStrategy {
             // Corrupt and Byzantine fractions count only the updates that
             // reached the server: lost ones poison nothing, and a round
             // where none arrived leaves the server untouched.
-            let arrived = || out.delivered.iter().map(|&k| &trainers[k].1);
+            let arrived = || out.delivered.iter().map(|&k| &trainers[k].0.fate);
             let n_corrupt = arrived().filter(|f| f.corruption.is_some()).count();
             let n_malicious = arrived().filter(|f| f.malicious.is_some()).count();
+            let plan = round.faults;
             if n_corrupt > 0 {
                 let mut params = self.server.param_vector();
                 poison_dense_mean(
@@ -803,7 +689,7 @@ impl DenseFlStrategy {
                     plan.corruption,
                     plan.explode_scale,
                     n_corrupt as f32 / delivered as f32,
-                    plan.seed ^ (round << 20),
+                    plan.seed ^ (round.round << 20),
                 );
                 self.server.load_param_vector(&params);
             }
@@ -815,15 +701,12 @@ impl DenseFlStrategy {
                     &mut params,
                     &plan.adversary,
                     n_malicious as f32 / delivered as f32,
-                    plan.adversary.attack_seed(round, usize::MAX),
+                    plan.adversary.attack_seed(round.round, usize::MAX),
                 );
                 self.server.load_param_vector(&params);
             }
         }
-        comm.end_round();
-        note_round(&telemetry, round, &comm, &report, round_time_ms);
-        round_span.num("time_ms", round_time_ms);
-        RoundOutcome { stats: RoundStats { comm, adapt_time_ms: 0.0, faults: report }, round_time_ms }
+        round.finish()
     }
 }
 
@@ -844,19 +727,7 @@ impl AdaptStrategy for DenseFlStrategy {
     }
 
     fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        let proxy = world.proxy(self.cfg.proxy_samples);
-        let mut opt = nebula_nn::Sgd::with_momentum(0.05, 0.9);
-        nebula_data::train_epochs(
-            &mut self.server,
-            &mut opt,
-            &proxy,
-            nebula_data::TrainConfig {
-                epochs: self.cfg.pretrain_epochs,
-                batch_size: 32,
-                clip_norm: Some(5.0),
-            },
-            rng,
-        );
+        pretrain_dense(&self.cfg, &mut self.server, world, rng);
     }
 
     fn track(&mut self, _ids: &[usize]) {}
@@ -913,62 +784,51 @@ impl AdaptStrategy for DenseFlStrategy {
     }
 }
 
-/// How a round treats upload frames in transit.
-#[derive(Clone, Copy)]
-struct UploadRules {
-    /// Per-round tamper seed; each device mixes in its id.
-    seed: u64,
-    /// Frame auth is on: a tamper also recomputes the CRC, the forgery
-    /// only the MAC catches.
-    forge: bool,
-    /// The retry budget allows one clean resend of a rejected frame.
-    can_retry: bool,
-}
-
 /// The cloud's receive side of one upload frame: transit corruption
-/// when the device's fate says so, decode, one clean resend under the
-/// retry budget, and the byte accounting. Returns the decoded update,
-/// or `None` when the device is lost. A rejected frame never reaches
-/// aggregation.
+/// when the device's fate says so (with frame auth on, `forge` also
+/// recomputes the CRC, so only the MAC catches it), decode, one clean
+/// resend under the retry budget, and the byte accounting. Returns the
+/// decoded update, or `None` when the device is lost. A rejected frame
+/// never reaches aggregation.
 fn receive_upload(
     wire: &mut WireContext,
     id: usize,
     frame: &[u8],
     fate: &DeviceFate,
-    rules: UploadRules,
-    comm: &mut CommTracker,
-    report: &mut RoundReport,
+    forge: bool,
+    round: &mut RoundPlan,
 ) -> Option<EdgeUpdate> {
     let enc = frame.len() as u64;
     let id = id as u64;
     if fate.frame_corrupt {
-        report.corrupt_frames += 1;
+        round.report.corrupt_frames += 1;
+        let seed = round.faults.seed ^ (round.round << 20) ^ id;
         let mut bad = frame.to_vec();
-        if rules.forge {
-            forge_frame(&mut bad, rules.seed ^ id);
+        if forge {
+            forge_frame(&mut bad, seed);
         } else {
-            corrupt_frame(&mut bad, rules.seed ^ id);
+            corrupt_frame(&mut bad, seed);
         }
         if let Ok(update) = wire.decode_update_from(id, &bad) {
-            comm.record_upload(enc);
+            round.comm.record_upload(enc);
             return Some(update);
         }
-        comm.record_retry(enc);
-        if !rules.can_retry {
+        round.comm.record_retry(enc);
+        if round.policy.max_retries == 0 {
             return None;
         }
-        report.retried += 1;
-        let update = wire.decode_update_from(id, frame).ok()?;
-        comm.record_upload(enc);
-        return Some(update);
+        round.report.retried += 1;
     }
     match wire.decode_update_from(id, frame) {
         Ok(update) => {
-            comm.record_upload(enc);
+            round.comm.record_upload(enc);
             Some(update)
         }
         Err(_) => {
-            comm.record_retry(enc);
+            // A failed clean resend bills nothing more.
+            if !fate.frame_corrupt {
+                round.comm.record_retry(enc);
+            }
             None
         }
     }
@@ -990,6 +850,25 @@ pub enum NebulaVariant {
     /// "Nebula w/o cloud": devices query the cloud once, then adapt only
     /// locally.
     NoCloud,
+}
+
+/// One admitted device's download and training inputs.
+struct NebulaJob {
+    /// The decoded payload an in-process device trains from.
+    payload: SubModelPayload,
+    /// The encoded payload frame a remote worker decodes (transport
+    /// rounds only).
+    frame: Option<Vec<u8>>,
+    local: Dataset,
+    rng: NebulaRng,
+}
+
+/// How one device's training came back: an in-process update, a remote
+/// worker's encoded update frame, or not at all.
+enum Arrived {
+    Update(EdgeUpdate),
+    Frame(Vec<u8>),
+    Lost,
 }
 
 /// The full Nebula framework.
@@ -1058,171 +937,112 @@ impl NebulaStrategy {
         &mut self.cloud
     }
 
-    /// Replaces the sanitize gate's policy (testing/ablation hook).
-    pub fn set_sanitize_policy(&mut self, policy: SanitizePolicy) {
-        self.sanitize = policy;
-    }
-
-    /// Selects the module-wise combine rule applied behind the gate.
-    pub fn set_aggregator(&mut self, aggregator: RobustAggregator) {
-        self.aggregator = aggregator;
-    }
-
     /// Arms the checkpoint-rollback guard: every aggregation is probed on
     /// `probe` and undone if accuracy regresses by more than `max_drop`.
     pub fn enable_rollback(&mut self, probe: Dataset, max_drop: f32) {
         self.rollback = Some((probe, max_drop));
     }
 
-    /// Disarms the rollback guard.
-    pub fn disable_rollback(&mut self) {
-        self.rollback = None;
-    }
-
-    /// One collaborative round: sample devices, derive/dispatch/train/
-    /// aggregate — under the world's fault plan and round policy.
+    /// One collaborative round under the world's fault plan and round
+    /// policy: plan → dispatch → accept → aggregate.
     ///
-    /// Derivation/dispatch happen sequentially (they read the shared cloud
-    /// model); the expensive per-device local training runs in parallel
-    /// with pre-forked RNG streams, so results are identical for any
-    /// rayon thread count. Fault fates come from the plan's dedicated RNG,
-    /// so with [`crate::faults::FaultPlan::none`] this round is bit-for-bit
+    /// Fates resolve before anything trains: crashed and deadline-dropped
+    /// devices still receive their download but are never trained or
+    /// shipped. Local training of the survivors runs in parallel with
+    /// RNG streams forked per admitted device in admission order, so
+    /// results are identical for any rayon thread count. Fault fates come
+    /// from the plan's dedicated RNG, so with
+    /// [`crate::faults::FaultPlan::none`] this round is bit-for-bit
     /// identical to a fault-free build.
     pub fn single_round(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundOutcome {
-        use rayon::prelude::*;
+        let (mut round, ids) = RoundPlan::start(world, &self.cfg, &self.telemetry);
+        let admitted = self.plan_and_download(world, &ids, rng, &mut round);
+        let (seats, jobs): (Vec<Seat>, Vec<NebulaJob>) =
+            round.resolve(admitted, |_, _, _| {}).into_iter().unzip();
+        let arrivals = self.train(round.round, &seats, jobs);
+        let accepted = self.accept(&mut round, seats, arrivals);
+        self.aggregate(&mut round, accepted);
+        round.finish()
+    }
 
-        let telemetry = self.telemetry.clone();
-        let mut round_span = telemetry.span("round");
-        let ids = world.sample_participants(self.cfg.devices_per_round);
-        let round = world.next_round_index();
-        round_span.int("index", round);
-        let plan = world.faults;
-        let policy = world.policy;
-        let mut comm = CommTracker::new();
-        let mut report = RoundReport { sampled: ids.len() as u64, ..Default::default() };
-        // Per-layer module-activation counts of this round's accepted
-        // updates (telemetry only; empty when disarmed).
-        let mut round_loads: Vec<Vec<u64>> = if telemetry.enabled() {
-            vec![vec![0u64; self.cfg.modular.modules_per_layer]; self.cfg.modular.num_layers]
-        } else {
-            Vec::new()
-        };
-
+    /// Plan and dispatch: fates, derivation, link planning and the
+    /// download each admitted device trains from. Each download is
+    /// encoded into a real frame and the *decoded* payload is what the
+    /// device trains from; the tracker records the measured frame length,
+    /// while the latency model keeps the analytic planning size (so `Raw`
+    /// rounds stay bit-identical). Every admitted device forks its
+    /// training RNG here, whatever its fate, so skipping the doomed ones
+    /// later moves no other device's stream.
+    fn plan_and_download(
+        &mut self,
+        world: &SimWorld,
+        ids: &[usize],
+        rng: &mut NebulaRng,
+        round: &mut RoundPlan,
+    ) -> Vec<(Seat, NebulaJob)> {
         // Baselines for this round's wire traffic (no-op for non-delta
         // codecs).
         self.wire.commit_model(self.cloud.model());
-
-        // Sequential phase: fates, derivation, dispatch, downloads. Each
-        // download is encoded into a real frame and the *decoded* payload
-        // is what the device trains from; the tracker records the measured
-        // frame length, while the latency model keeps the analytic
-        // planning size (so `Raw` rounds stay bit-identical).
-        let mut jobs = Vec::with_capacity(ids.len());
-        let mut meta: Vec<(usize, DeviceFate, f64)> = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            let mut client_span = telemetry.span("client");
+        let mut admitted = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let mut client_span = self.telemetry.span("client");
             client_span.int("device", id as u64);
-            let fate = plan.fate(round, id);
-            if fate.dropped {
-                report.dropped += 1;
-                note_client(&telemetry, id, "dropped", None);
-                continue;
-            }
-            let (profile, local);
-            {
-                let dev = &world.devices[id];
-                profile = dev.profile(self.cloud.cost_model());
-                local = dev.partition.data.clone();
-            }
-            let outcome = self.cloud.derive_for_data(&local, &profile, None);
-            let payload = self.cloud.dispatch(&outcome.spec);
-            let plan_bytes = payload.bytes();
-            let up = plan_upload(fate.upload_attempts, fate.flaky_link, policy.retry_policy());
-            if !up.delivered {
-                // Retries exhausted: the device never joins the round (and
-                // never receives a frame, so its wire state stays cold).
-                for _ in 0..up.resends {
-                    comm.record_retry(plan_bytes);
-                }
-                report.retried += up.resends as u64;
-                report.link_dropped += 1;
-                note_client(&telemetry, id, "link_dropped", None);
-                continue;
-            }
-            let wire_span = telemetry.span("wire_tx");
-            let wire_bytes = self.wire.encode_payload(id as u64, &payload, &mut self.frame_buf) as u64;
-            comm.record_download(wire_bytes);
-            let payload = match self.wire.decode_payload(id as u64, &self.frame_buf) {
-                Ok(p) => p,
-                Err(_) => {
-                    // Defensive: a pristine in-process frame always decodes.
-                    report.link_dropped += 1;
-                    note_client(&telemetry, id, "link_dropped", None);
-                    continue;
-                }
-            };
-            drop(wire_span);
-            let extra = up.resends;
-            let backoff = up.backoff_ms;
-            for _ in 0..extra {
-                comm.record_retry(wire_bytes);
-            }
-            report.retried += extra as u64;
-            // Predicted participant wall-clock: local training under the
-            // injected slowdown, plus transfers (and retry re-sends) over
-            // the possibly-collapsed link, plus backoff waits.
-            let flops = self.cloud.cost_model().submodel(&outcome.spec).flops;
+            let Some(fate) = round.fate(id) else { continue };
             let dev = &world.devices[id];
-            let bw = dev.resources.bandwidth_bps * fate.bandwidth_factor;
-            let time_ms = adaptation_latency_ms(
-                &dev.resources,
-                flops,
-                local.len(),
-                self.cfg.local_epochs,
-                self.cfg.batch_size,
-            ) * fate.slowdown
-                + transfer_time_ms(2 * plan_bytes + extra as u64 * plan_bytes, bw)
-                + backoff;
-            meta.push((id, fate, time_ms));
-            // Remote dispatch ships the encoded payload frame; the fork
-            // happens here either way, so both modes consume the same RNG
-            // sequence.
-            let frame = self.transport.is_some().then(|| self.frame_buf.clone());
-            jobs.push((payload, frame, local, rng.fork(id as u64 ^ 0xEB)));
-        }
-
-        /// How one device's training came back: an in-process update, a
-        /// remote worker's encoded update frame, or not at all.
-        enum Arrived {
-            Update(EdgeUpdate),
-            Frame(Vec<u8>),
-            Lost,
-        }
-
-        let arrivals: Vec<Arrived> = if self.transport.is_some() {
-            let train = nebula_core::TrainParams {
-                epochs: self.cfg.local_epochs,
-                batch_size: self.cfg.batch_size,
-                lr: self.cfg.local_lr,
+            let payload = self.derive_payload(dev);
+            let plan_bytes = payload.bytes();
+            // Retries exhausted: the device never joins the round (and
+            // never receives a frame, so its wire state stays cold).
+            let Some(up) = round.upload(id, &fate, plan_bytes) else { continue };
+            let (wire_bytes, decoded) = {
+                let _span = self.telemetry.span("wire_tx");
+                self.send_down(id, &payload)
             };
+            round.comm.record_download(wire_bytes);
+            let Ok(payload) = decoded else {
+                // Defensive: a pristine in-process frame always decodes.
+                round.drop_link(id, None);
+                continue;
+            };
+            round.resend(wire_bytes, up.resends);
+            let flops = self.cloud.cost_model().submodel(&payload.spec).flops;
+            let time_ms = round.predict_ms(dev, &fate, flops, plan_bytes, &up);
+            // Remote dispatch ships the encoded payload frame.
+            let frame = self.transport.is_some().then(|| self.frame_buf.clone());
+            let local = dev.partition.data.clone();
+            let job = NebulaJob { payload, frame, local, rng: rng.fork(id as u64 ^ 0xEB) };
+            admitted.push((Seat { id, fate, time_ms }, job));
+        }
+        admitted
+    }
+
+    /// Trains the surviving devices: in-process, or over the transport.
+    fn train(&mut self, round: u64, seats: &[Seat], jobs: Vec<NebulaJob>) -> Vec<Arrived> {
+        use rayon::prelude::*;
+
+        let train = nebula_core::TrainParams {
+            epochs: self.cfg.local_epochs,
+            batch_size: self.cfg.batch_size,
+            lr: self.cfg.local_lr,
+        };
+        if let Some(transport) = self.transport.as_deref_mut() {
             let dispatch: Vec<nebula_core::DispatchJob> = jobs
                 .into_iter()
-                .zip(&meta)
-                .map(|((_payload, frame, local, drng), &(id, _, _))| nebula_core::DispatchJob {
+                .zip(seats)
+                .map(|(job, seat)| nebula_core::DispatchJob {
                     round: round as usize,
-                    device: id as u64,
+                    device: seat.id as u64,
                     spec: nebula_core::JobSpec::Modular {
-                        frame: frame.expect("remote jobs carry their payload frame"),
+                        frame: job.frame.expect("remote jobs carry their payload frame"),
                     },
-                    rng_state: drng.state(),
+                    rng_state: job.rng.state(),
                     train,
-                    data: local,
+                    data: job.local,
                 })
                 .collect();
-            let transport = self.transport.as_deref_mut().expect("transport checked above");
-            let mut train_span = telemetry.span("remote_train");
+            let mut train_span = self.telemetry.span("remote_train");
             train_span.int("clients", dispatch.len() as u64);
-            transport
+            return transport
                 .round_trip(dispatch)
                 .into_iter()
                 .map(|r| match r {
@@ -1231,67 +1051,49 @@ impl NebulaStrategy {
                     // violation; the device degrades like a lost link.
                     Ok(nebula_core::JobResult::Params(_)) | Err(_) => Arrived::Lost,
                 })
-                .collect()
-        } else {
-            let cfg = &self.cfg;
-            let mut train_span = telemetry.span("local_train");
-            train_span.int("clients", jobs.len() as u64);
-            jobs.into_par_iter()
-                .map(|(payload, _frame, local, mut drng)| {
-                    // Client-level parallelism owns the pool here; keep the
-                    // inner tensor kernels sequential so per-device training
-                    // does not nest-fork (see nebula_tensor::par).
-                    nebula_tensor::par::sequential(|| {
-                        let mut client = EdgeClient::from_payload(cfg.modular.clone(), &payload);
-                        client.adapt(&local, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut drng);
-                        Arrived::Update(client.make_update(&local))
-                    })
+                .collect();
+        }
+        let modular = &self.cfg.modular;
+        let mut train_span = self.telemetry.span("local_train");
+        train_span.int("clients", jobs.len() as u64);
+        jobs.into_par_iter()
+            .map(|mut job| {
+                // Client-level parallelism owns the pool here; keep the
+                // inner tensor kernels sequential so per-device training
+                // does not nest-fork (see nebula_tensor::par).
+                nebula_tensor::par::sequential(|| {
+                    let mut client = EdgeClient::from_payload(modular.clone(), &job.payload);
+                    client.adapt(&job.local, train.epochs, train.batch_size, train.lr, &mut job.rng);
+                    Arrived::Update(client.make_update(&job.local))
                 })
-                .collect()
-        };
+            })
+            .collect()
+    }
 
-        // Round deadline from the latency model; stragglers past it drop.
-        let times: Vec<f64> = meta.iter().map(|m| m.2).collect();
-        let deadline = round_deadline_ms(policy.deadline_factor, &times);
-        let rules = UploadRules {
-            seed: plan.seed ^ (round << 20),
-            forge: self.cfg.wire.auth_key.is_some(),
-            can_retry: policy.max_retries > 0,
-        };
+    /// Accepts what came back: fault mutations, the upload frame through
+    /// the cloud's receive side, and staleness discounts. Returns the
+    /// updates that reach aggregation.
+    fn accept(&mut self, round: &mut RoundPlan, seats: Vec<Seat>, arrivals: Vec<Arrived>) -> Vec<EdgeUpdate> {
+        let (plan, r) = (round.faults, round.round);
+        let forge = self.cfg.wire.auth_key.is_some();
         let mutate = |update: &mut EdgeUpdate, fate: &DeviceFate, id: usize| {
             if let Some(kind) = fate.corruption {
-                corrupt_module_update(update, kind, plan.explode_scale, rules.seed ^ id as u64);
+                corrupt_module_update(update, kind, plan.explode_scale, plan.seed ^ (r << 20) ^ id as u64);
             }
             if fate.malicious.is_some() {
                 // Colluders share one per-round attack seed.
-                apply_attack(update, &plan.adversary, plan.adversary.attack_seed(round, id));
+                apply_attack(update, &plan.adversary, plan.adversary.attack_seed(r, id));
             }
         };
-        let mut accepted: Vec<EdgeUpdate> = Vec::with_capacity(arrivals.len());
-        let mut round_time_ms = 0.0f64;
-        for (arrived, (id, fate, time_ms)) in arrivals.into_iter().zip(meta) {
-            if let Some(d) = deadline {
-                if time_ms > d {
-                    report.deadline_dropped += 1;
-                    round_time_ms = round_time_ms.max(d);
-                    note_client(&telemetry, id, "deadline_dropped", Some(time_ms));
-                    continue;
-                }
-            }
-            if fate.crashed {
-                // Trained, but died before the upload landed.
-                report.crashed += 1;
-                note_client(&telemetry, id, "crashed", Some(time_ms));
-                continue;
-            }
-            round_time_ms = round_time_ms.max(time_ms);
-            let upload_span = telemetry.span("wire_tx");
+        let mut accepted = Vec::with_capacity(arrivals.len());
+        for (arrived, Seat { id, fate, time_ms }) in arrivals.into_iter().zip(seats) {
+            let upload_span = self.telemetry.span("wire_tx");
             let decoded = match arrived {
                 Arrived::Lost => {
                     // The transport failed to bring the job back (worker
                     // crash, socket deadline): the device degrades through
                     // the same path as a dropped link below.
-                    telemetry.counter_add("serve.transport_lost", 1);
+                    self.telemetry.counter_add("serve.transport_lost", 1);
                     None
                 }
                 Arrived::Update(mut update) => {
@@ -1302,7 +1104,7 @@ impl NebulaStrategy {
                     // aggregates what it decodes, never the sender's structs.
                     mutate(&mut update, &fate, id);
                     self.wire.encode_update(id as u64, &update, &mut self.frame_buf);
-                    receive_upload(&mut self.wire, id, &self.frame_buf, &fate, rules, &mut comm, &mut report)
+                    receive_upload(&mut self.wire, id, &self.frame_buf, &fate, forge, round)
                 }
                 Arrived::Frame(frame) => {
                     // A remote worker already encoded the update, so the
@@ -1310,116 +1112,98 @@ impl NebulaStrategy {
                     // Raw codec that order is bit-identical to mutating
                     // before encoding (the serve tests pin it); stateful
                     // codecs never reach this path.
-                    receive_upload(&mut self.wire, id, &frame, &fate, rules, &mut comm, &mut report).map(
-                        |mut update| {
-                            mutate(&mut update, &fate, id);
-                            update
-                        },
-                    )
+                    receive_upload(&mut self.wire, id, &frame, &fate, forge, round).map(|mut update| {
+                        mutate(&mut update, &fate, id);
+                        update
+                    })
                 }
             };
             drop(upload_span);
             let Some(mut update) = decoded else {
-                report.link_dropped += 1;
-                note_client(&telemetry, id, "link_dropped", Some(time_ms));
+                round.drop_link(id, Some(time_ms));
                 continue;
             };
-            // Gate-probability and module-load telemetry of what the cloud
-            // actually decoded: which modules each accepted client
-            // activated, and how spread its per-layer gate distribution is.
-            if telemetry.enabled() {
-                for (layer, modules) in update.spec.layers().iter().enumerate() {
-                    for &m in modules {
-                        telemetry.load_add(&format!("gate_load.layer{layer}"), m, 1);
-                        if let Some(counts) = round_loads.get_mut(layer) {
-                            if let Some(c) = counts.get_mut(m) {
-                                *c += 1;
-                            }
-                        }
-                    }
-                    if let Some(row) = update.importance.get(layer) {
-                        telemetry.observe(
-                            &format!("gate_entropy.layer{layer}"),
-                            nebula_modular::normalized_entropy(row),
-                        );
-                    }
-                }
-            }
             if fate.straggler {
                 // Late but within the deadline: accepted at a discount
                 // (server-side, after decode).
-                discount_staleness(&mut update, policy.staleness_discount);
-                report.stale += 1;
-                note_client(&telemetry, id, "stale", Some(time_ms));
+                discount_staleness(&mut update, round.policy.staleness_discount);
+                round.report.stale += 1;
+                round.note(id, "stale", Some(time_ms));
             } else {
-                note_client(&telemetry, id, "accepted", Some(time_ms));
+                round.note(id, "accepted", Some(time_ms));
             }
             accepted.push(update);
         }
-        report.participated = accepted.len() as u64;
+        accepted
+    }
 
-        // Aggregate behind the sanitize gate, optionally under the
-        // checkpoint-rollback guard.
-        let mut agg_span = telemetry.span("aggregate");
+    /// Aggregates the accepted cohort with one call behind the sanitize
+    /// gate, under the checkpoint-rollback guard when it is armed.
+    fn aggregate(&mut self, round: &mut RoundPlan, accepted: Vec<EdgeUpdate>) {
+        round.report.participated = accepted.len() as u64;
+        self.note_gate_loads(round.round, &accepted);
+        let mut agg_span = self.telemetry.span("aggregate");
         agg_span.int("accepted", accepted.len() as u64);
-        let outcome = if let Some(partials) = self.edge_partials(&accepted) {
+        let partials = self.edge_partials(accepted);
+        if self.cfg.edge_groups.is_some_and(|g| g > 0) {
             // Hierarchical fan-out: the cloud only ever sees one partial
             // per edge group. (Edge→cloud backhaul byte/latency accounting
             // lives in the sharded engine; `comm` here stays the
             // device-side traffic, identical to the flat path.)
             agg_span.int("edge_partials", partials.len() as u64);
-            match &self.rollback {
-                Some((probe, max_drop)) => {
-                    let out = self.cloud.absorb_partials_guarded(
-                        &partials,
-                        &self.sanitize,
-                        self.aggregator,
-                        |m| nebula_data::evaluate_accuracy(m, probe, 64),
-                        *max_drop,
-                    );
-                    if out.rolled_back {
-                        report.rolled_back += 1;
-                    }
-                    nebula_core::AggregateOutcome { touched: out.touched, sanitize: out.sanitize }
-                }
-                None => self.cloud.absorb_partials(&partials, &self.sanitize, self.aggregator),
+        }
+        let (policy, aggregator) = (self.sanitize, self.aggregator);
+        let absorb = |cloud: &mut NebulaCloud| cloud.absorb_partials(&partials, &policy, aggregator);
+        let s = match &self.rollback {
+            Some((probe, max_drop)) => {
+                let out =
+                    self.cloud.guarded(|m| nebula_data::evaluate_accuracy(m, probe, 64), *max_drop, absorb);
+                round.report.rolled_back += u64::from(out.rolled_back);
+                out.sanitize
             }
-        } else {
-            match &self.rollback {
-                Some((probe, max_drop)) => {
-                    let out = self.cloud.aggregate_guarded_with(
-                        &accepted,
-                        &self.sanitize,
-                        self.aggregator,
-                        |m| nebula_data::evaluate_accuracy(m, probe, 64),
-                        *max_drop,
-                    );
-                    if out.rolled_back {
-                        report.rolled_back += 1;
-                    }
-                    nebula_core::AggregateOutcome { touched: out.touched, sanitize: out.sanitize }
-                }
-                None => self.cloud.aggregate_robust_with(&accepted, &self.sanitize, self.aggregator),
-            }
+            None => absorb(&mut self.cloud).sanitize,
         };
-        report.rejected += outcome.sanitize.rejected() as u64;
-        if telemetry.enabled() {
-            let s = outcome.sanitize;
-            telemetry.counter_add("sanitize.rejected_non_finite", s.rejected_non_finite as u64);
-            telemetry.counter_add("sanitize.rejected_outlier", s.rejected_outlier as u64);
-            telemetry.counter_add("sanitize.outlier_check_skipped", s.outlier_check_skipped as u64);
-            telemetry.emit("sanitize", |e| {
-                e.ints.insert("round".into(), round);
+        round.report.rejected += s.rejected() as u64;
+        if self.telemetry.enabled() {
+            let t = &self.telemetry;
+            t.counter_add("sanitize.rejected_non_finite", s.rejected_non_finite as u64);
+            t.counter_add("sanitize.rejected_outlier", s.rejected_outlier as u64);
+            t.counter_add("sanitize.outlier_check_skipped", s.outlier_check_skipped as u64);
+            t.emit("sanitize", |e| {
+                e.ints.insert("round".into(), round.round);
                 e.ints.insert("accepted".into(), s.accepted as u64);
                 e.ints.insert("non_finite".into(), s.rejected_non_finite as u64);
                 e.ints.insert("outlier".into(), s.rejected_outlier as u64);
                 e.ints.insert("outlier_skipped".into(), s.outlier_check_skipped as u64);
             });
         }
-        drop(agg_span);
-        comm.end_round();
-        for (layer, counts) in round_loads.iter().enumerate() {
-            telemetry.emit("gate_load", |e| {
+    }
+
+    /// Gate-probability and module-load telemetry of what the cloud
+    /// actually decoded: which modules each accepted client activated,
+    /// how spread its per-layer gate distribution is, and one
+    /// `gate_load` event per layer with the round's activation counts.
+    fn note_gate_loads(&self, round: u64, accepted: &[EdgeUpdate]) {
+        let t = &self.telemetry;
+        if !t.enabled() {
+            return;
+        }
+        let mut loads = vec![vec![0u64; self.cfg.modular.modules_per_layer]; self.cfg.modular.num_layers];
+        for update in accepted {
+            for (layer, modules) in update.spec.layers().iter().enumerate() {
+                for &m in modules {
+                    t.load_add(&format!("gate_load.layer{layer}"), m, 1);
+                    if let Some(c) = loads.get_mut(layer).and_then(|counts| counts.get_mut(m)) {
+                        *c += 1;
+                    }
+                }
+                if let Some(row) = update.importance.get(layer) {
+                    t.observe(&format!("gate_entropy.layer{layer}"), nebula_modular::normalized_entropy(row));
+                }
+            }
+        }
+        for (layer, counts) in loads.iter().enumerate() {
+            t.emit("gate_load", |e| {
                 e.ints.insert("round".into(), round);
                 e.ints.insert("layer".into(), layer as u64);
                 for (m, &c) in counts.iter().enumerate() {
@@ -1427,57 +1211,62 @@ impl NebulaStrategy {
                 }
             });
         }
-        note_round(&telemetry, round, &comm, &report, round_time_ms);
-        round_span.num("time_ms", round_time_ms);
-        RoundOutcome { stats: RoundStats { comm, adapt_time_ms: 0.0, faults: report }, round_time_ms }
     }
 
-    /// Folds the accepted cohort at `cfg.edge_groups` simulated edge
-    /// servers — contiguous chunks in cohort order — and returns their
-    /// partials in edge order. `None` when the hierarchy is disabled (or
-    /// configured with zero edges), which keeps the flat path.
-    fn edge_partials(&self, accepted: &[EdgeUpdate]) -> Option<Vec<EdgePartial>> {
-        let groups = self.cfg.edge_groups?;
-        if groups == 0 {
-            return None;
-        }
+    /// The accepted cohort as edge partials. Flat rounds (`edge_groups`
+    /// unset or zero) are one buffered partial, which `absorb_partials`
+    /// runs through the full sanitize gate and combine rule exactly as
+    /// [`NebulaCloud::aggregate_robust_with`] would. Hierarchical rounds
+    /// fold the cohort at `edge_groups` simulated edge servers —
+    /// contiguous chunks in cohort order — with partials in edge order.
+    fn edge_partials(&self, accepted: Vec<EdgeUpdate>) -> Vec<EdgePartial> {
+        let groups = self.cfg.edge_groups.unwrap_or(0);
         // A dead round — every sampled device crashed, missed the
-        // deadline, or dropped its link — has nothing to fold.
-        // `absorb_partials` of an empty list is a no-op, so the round
-        // records zeros instead of the whole experiment crashing.
-        if accepted.is_empty() {
-            return Some(Vec::new());
+        // deadline, or dropped its link — has nothing to fold; its one
+        // empty partial aggregates to a no-op.
+        if groups == 0 || accepted.is_empty() {
+            return vec![EdgePartial { buffered: accepted, ..EdgePartial::default() }];
         }
         let chunk = accepted.len().div_ceil(groups.min(accepted.len()));
-        Some(
-            accepted
-                .chunks(chunk)
-                .enumerate()
-                .map(|(g, block)| {
-                    let mut edge = EdgeAccumulator::new(self.aggregator, self.sanitize, true);
-                    for u in block {
-                        edge.ingest(u.clone());
-                    }
-                    edge.finish(g as u64)
-                })
-                .collect(),
-        )
+        let mut updates = accepted.into_iter().peekable();
+        let mut partials = Vec::with_capacity(groups);
+        while updates.peek().is_some() {
+            let mut edge = EdgeAccumulator::new(self.aggregator, self.sanitize, true);
+            for u in updates.by_ref().take(chunk) {
+                edge.ingest(u);
+            }
+            partials.push(edge.finish(partials.len() as u64));
+        }
+        partials
+    }
+
+    /// Derives the device's sub-model from its local data and resource
+    /// profile, and cuts its payload from the cloud model.
+    fn derive_payload(&mut self, dev: &SimDevice) -> SubModelPayload {
+        let profile = dev.profile(self.cloud.cost_model());
+        let outcome = self.cloud.derive_for_data(&dev.partition.data, &profile, None);
+        self.cloud.dispatch(&outcome.spec)
+    }
+
+    /// Encodes `payload` on device `id`'s download channel and decodes it
+    /// as the device would: the measured frame bytes, and what arrived.
+    /// The frame stays in `frame_buf`.
+    fn send_down(
+        &mut self,
+        id: usize,
+        payload: &SubModelPayload,
+    ) -> (u64, Result<SubModelPayload, WireError>) {
+        let bytes = self.wire.encode_payload(id as u64, payload, &mut self.frame_buf) as u64;
+        (bytes, self.wire.decode_payload(id as u64, &self.frame_buf))
     }
 
     /// Refreshes (or creates) the tracked device's client from the cloud:
     /// derive + dispatch, over the wire. Returns the measured download
     /// frame bytes; the client installs what it decoded.
     fn refresh_client(&mut self, world: &mut SimWorld, id: usize) -> u64 {
-        let dev = &world.devices[id];
-        let profile = dev.profile(self.cloud.cost_model());
-        let local = dev.partition.data.clone();
-        let outcome = self.cloud.derive_for_data(&local, &profile, None);
-        let payload = self.cloud.dispatch(&outcome.spec);
-        let bytes = self.wire.encode_payload(id as u64, &payload, &mut self.frame_buf) as u64;
-        let payload = self
-            .wire
-            .decode_payload(id as u64, &self.frame_buf)
-            .expect("pristine in-process frame must decode");
+        let payload = self.derive_payload(&world.devices[id]);
+        let (bytes, payload) = self.send_down(id, &payload);
+        let payload = payload.expect("pristine in-process frame must decode");
         match self.clients.get_mut(&id) {
             Some(client) => client.install(&payload),
             None => {

@@ -8,8 +8,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use nebula_core::codec::WireConfig;
 use nebula_core::read_journal;
-use nebula_core::transport::WireConfig;
 use nebula_data::drift::DriftKind;
 use nebula_data::{DriftModel, PartitionSpec, Partitioner, SynthSpec, Synthesizer};
 use nebula_modular::ModularConfig;
